@@ -41,7 +41,12 @@ BufferPool::BufferPool(const BufferPoolConfig& cfg) : cfg_(cfg) {
   if (cfg_.block_size == 0 || cfg_.blocks == 0) {
     throw std::invalid_argument("BufferPool: block_size and blocks >= 1");
   }
-  const std::size_t stride = BufferBlock::payload_offset() + cfg_.block_size;
+  // Stride rounded up so every block header stays max_align_t-aligned
+  // whatever the payload size (an MTU-sized block need not be a
+  // multiple of 16).
+  constexpr std::size_t a = alignof(std::max_align_t);
+  const std::size_t stride =
+      (BufferBlock::payload_offset() + cfg_.block_size + a - 1) / a * a;
   arena_ = static_cast<std::uint8_t*>(::operator new(
       stride * cfg_.blocks, std::align_val_t{alignof(std::max_align_t)}));
   // Thread the free list front to back, so the first acquires walk the

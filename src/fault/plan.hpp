@@ -116,6 +116,13 @@ class FaultPlan {
   const FaultConfig& config() const { return cfg_; }
   bool enabled() const { return cfg_.enabled(); }
 
+  /// True when some kind in `mask` can ever fire: the plan is enabled
+  /// and its configured kinds intersect `mask`.  A pure query — it
+  /// consults no site and never advances the RNG.
+  bool may_fire(std::uint32_t mask) const {
+    return enabled() && (cfg_.kinds & mask) != 0;
+  }
+
   /// One injection site: returns the kind to inject, or nullopt for "no
   /// fault".  `site_mask` restricts the draw to kinds meaningful at this
   /// site; kinds outside the plan's configured mask never fire.  When

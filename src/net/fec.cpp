@@ -39,10 +39,10 @@ std::optional<MediaPacket> FecEncoder::add(const MediaPacket& p) {
 core::BufferRef FecRecovery::make_blob(std::span<const std::uint8_t> bytes) {
   if (!pool_) {
     // Sized for the prune() cap (1024 cached blobs) plus slack for the
-    // handful alive mid-recover; 2 KiB blocks cover any MTU-bounded
-    // wire packet, with heap fallback beyond.
-    pool_ = std::make_unique<core::BufferPool>(
-        core::BufferPoolConfig{.block_size = 2048, .blocks = 1100});
+    // handful alive mid-recover; blocks hold one MTU-bounded wire
+    // packet, with heap fallback beyond.
+    pool_ = std::make_unique<core::BufferPool>(core::BufferPoolConfig{
+        .block_size = max_blob_bytes_, .blocks = 1100});
   }
   core::BufferRef ref = pool_->acquire(bytes.size());
   std::copy(bytes.begin(), bytes.end(), ref.data());

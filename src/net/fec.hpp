@@ -67,7 +67,12 @@ struct FecStats {
 
 class FecRecovery {
  public:
-  explicit FecRecovery(const FecConfig& cfg) : cfg_(cfg) {}
+  /// `max_blob_bytes` is the largest wire blob the link can carry
+  /// (kWireHeaderBytes + the packetizer MTU; TransportLink passes it)
+  /// and sizes the cache's pool blocks.  Larger blobs still work,
+  /// through the pool's heap fallback.
+  explicit FecRecovery(const FecConfig& cfg, std::size_t max_blob_bytes = 2048)
+      : cfg_(cfg), max_blob_bytes_(max_blob_bytes) {}
 
   /// Records a received (or recovered) data packet's wire blob.
   void add_data(const MediaPacket& p);
@@ -81,6 +86,10 @@ class FecRecovery {
   std::vector<MediaPacket> recover();
 
   const FecStats& stats() const { return stats_; }
+  /// The blob cache's pool counters (all zero before the first blob).
+  core::BufferPoolStats pool_stats() const {
+    return pool_ ? pool_->stats() : core::BufferPoolStats{};
+  }
 
  private:
   void prune();
@@ -89,12 +98,15 @@ class FecRecovery {
   core::BufferRef make_blob(std::span<const std::uint8_t> bytes);
 
   FecConfig cfg_;
+  std::size_t max_blob_bytes_;
   FecStats stats_;
   SeqUnroller unroller_;  ///< data-seq space
   /// Cached wire blobs live in pooled refcounted buffers instead of
   /// per-entry vectors: the cache holds at most 1024 blobs (see
   /// prune()), so a 1100-block pool keeps the steady state entirely
-  /// within one arena.  The pool is declared (and therefore destroyed)
+  /// within one arena.  Blocks are max_blob_bytes_ long, so the arena
+  /// holds ~1100 MTU-sized packets (about 155 KiB with headers at a
+  /// 96-byte MTU).  The pool is declared (and therefore destroyed)
   /// after the map's refs release back into it.
   std::unique_ptr<core::BufferPool> pool_;
   std::map<std::uint64_t, core::BufferRef> blobs_;

@@ -19,6 +19,7 @@
 // lane loop to the pre-simulcast single path and stays byte-identical.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,6 +89,9 @@ class TransportLink {
   const FecStats& fec_stats(std::uint8_t layer = 0) const {
     return lanes_[layer].fec_rec.stats();
   }
+  core::BufferPoolStats fec_pool_stats(std::uint8_t layer = 0) const {
+    return lanes_[layer].fec_rec.pool_stats();
+  }
   const DepacketizerStats& depacketizer_stats(std::uint8_t layer = 0) const {
     return lanes_[layer].depack.stats();
   }
@@ -98,7 +102,9 @@ class TransportLink {
     Lane(const TransportConfig& cfg)
         : packetizer(cfg.packetizer),
           fec_enc(cfg.fec),
-          fec_rec(cfg.fec),
+          // The packetizer never emits a payload above max(mtu, 1).
+          fec_rec(cfg.fec, kWireHeaderBytes +
+                               std::max<std::size_t>(cfg.packetizer.mtu, 1)),
           jitter(cfg.jitter) {}
     Packetizer packetizer;
     FecEncoder fec_enc;

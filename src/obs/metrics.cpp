@@ -56,8 +56,12 @@ std::string scoped_metric_name(std::string_view scope, std::string_view name) {
 }
 
 Registry& Registry::global() {
-  static Registry r;
-  return r;
+  // Immortal: never destroyed, so metric handles cached by the
+  // AFFECTSYS_* macros stay valid through static destruction (pool
+  // workers draining leftover tasks at exit still record into it).
+  // The static pointer keeps it reachable for leak checkers.
+  static Registry* r = new Registry;
+  return *r;
 }
 
 Counter& Registry::counter(std::string_view name) {

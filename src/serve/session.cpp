@@ -88,12 +88,18 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   }
   script_len_ = seg_start_.back();
 
-  // Feature-bank cache eligibility: sink-mode inference, no fault plan
-  // (faulted audio diverges from the script the cache indexes), and
-  // every geometry the frame classifier relies on hop-aligned.
+  // Feature-bank cache eligibility: sink-mode inference, no plan that
+  // can fire an audio kind, and every geometry the frame classifier
+  // relies on hop-aligned.  Audio kinds are the only faults that alter
+  // or drop samples between fill_chunk and push_audio.  Every other
+  // kind leaves the pushed stream equal to the script stream: a stall
+  // returns before fill_chunk (neither the script nor samples_pushed_
+  // advances), the pipeline's gap resync drops its buffer rather than
+  // zero-filling, and net/bitstream/batcher kinds touch only media or
+  // inference.  So windows still end at samples_pushed_ on the script.
   if (const FeatureBankCache* cache = env_.feature_cache;
       cache != nullptr && cache->usable() && !inline_inference_ &&
-      !fault_plan_.enabled() && script_len_ > 0) {
+      !fault_plan_.may_fire(fault::kAudioKinds) && script_len_ > 0) {
     const auto& mc = env_.classifier->feature_config().mfcc;
     bool ok = cache->hop() == mc.hop && cache->frame_len() == mc.frame_len &&
               cache->feature_dim() == fx_.feature_dim() && mc.hop != 0 &&

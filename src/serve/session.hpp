@@ -212,9 +212,10 @@ struct SessionEnv {
   const std::vector<android::App>* catalog = nullptr;
   /// Optional feature-bank cache (must have been built from the
   /// classifier's FeatureConfig).  Sessions use it only when its
-  /// geometry aligns with their audio cadence AND fault injection is
-  /// off (faulted audio diverges from the script the cache indexes);
-  /// otherwise they extract live, byte-identically.
+  /// geometry aligns with their audio cadence AND their fault plan can
+  /// fire no audio kind (audio faults make the pushed samples diverge
+  /// from the script the cache indexes); otherwise they extract live,
+  /// byte-identically.
   const FeatureBankCache* feature_cache = nullptr;
   /// Optional pool backing staged feature windows; null falls back to
   /// per-request heap buffers (same bytes, more allocator traffic).
@@ -298,7 +299,7 @@ class Session {
   std::uint64_t local_tick() const { return local_tick_; }
 
   /// True when this session's windows can be served from the shared
-  /// feature-bank cache (geometry aligned, faults off).
+  /// feature-bank cache (geometry aligned, no audio faults possible).
   bool using_feature_cache() const { return use_cache_; }
   /// Windows at the batcher with no result applied yet; the quarantine
   /// path must drop exactly this many stale results on arrival.

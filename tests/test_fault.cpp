@@ -80,6 +80,37 @@ TEST(FaultPlan, DisjointSiteMaskConsumesNoState) {
   }
 }
 
+TEST(FaultPlan, MayFireIsAPureMaskQuery) {
+  // Rate 0, an empty plan mask and a disjoint query mask all answer no.
+  EXPECT_FALSE(fault::FaultPlan(fault::FaultConfig{3, 0.0, fault::kAllKinds})
+                   .may_fire(fault::kAllKinds));
+  EXPECT_FALSE(fault::FaultPlan(fault::FaultConfig{3, 0.5, 0})
+                   .may_fire(fault::kAllKinds));
+  fault::FaultPlan net(fault::FaultConfig{3, 0.5, fault::kNetKinds});
+  EXPECT_FALSE(net.may_fire(fault::kAudioKinds));
+  EXPECT_FALSE(net.may_fire(0));
+  EXPECT_TRUE(net.may_fire(fault::kNetKinds));
+  EXPECT_TRUE(net.may_fire(fault::kAllKinds));
+  EXPECT_TRUE(net.may_fire(fault::kind_bit(fault::FaultKind::kPacketLoss)));
+
+  // Querying never advances the RNG: decisions and the next draws match
+  // a twin plan that was never asked.
+  fault::FaultPlan probed(fault::FaultConfig{21, 0.5, fault::kAllKinds});
+  fault::FaultPlan fresh(fault::FaultConfig{21, 0.5, fault::kAllKinds});
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_TRUE(probed.may_fire(fault::kAudioKinds));
+    EXPECT_TRUE(probed.may_fire(fault::kNetKinds));
+  }
+  EXPECT_EQ(probed.decisions(), 0u);
+  EXPECT_EQ(probed.faults(), 0u);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(probed.next(fault::kAllKinds), fresh.next(fault::kAllKinds))
+        << "decision " << i;
+  }
+  EXPECT_EQ(probed.decisions(), fresh.decisions());
+  EXPECT_EQ(probed.draw(1000), fresh.draw(1000));
+}
+
 TEST(FaultPlan, SameSeedSameSchedule) {
   const fault::FaultConfig cfg{42, 0.3, fault::kAllKinds};
   fault::FaultPlan a(cfg), b(cfg);

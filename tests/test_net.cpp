@@ -71,6 +71,7 @@ struct E2eResult {
   std::vector<h264::DecodedPicture> pics;
   net::TransportStats stats;
   net::ChannelStats channel;
+  affectsys::core::BufferPoolStats fec_pool;  ///< lane 0's blob cache
   std::uint64_t loss_signals = 0;
   std::uint64_t resyncs = 0;
   std::uint64_t resync_skips = 0;
@@ -128,6 +129,7 @@ E2eResult run_e2e(std::uint64_t seed, double rate, std::uint32_t kinds,
 
   r.stats = link.stats();
   r.channel = link.channel_stats();
+  r.fec_pool = link.fec_pool_stats();
   r.loss_signals = dec.activity().loss_signals;
   r.resyncs = dec.activity().resyncs;
   r.resync_skips = dec.activity().resync_skips;
@@ -502,6 +504,30 @@ TEST(Transport, FecRecoversSeededLossSweep) {
             0.6 * static_cast<double>(dropped))
       << recovered << " of " << dropped << " recovered";
   EXPECT_GT(full_runs, 0u) << "no run recovered everything";
+}
+
+TEST(Transport, FecBlobPoolIsMtuSizedWithoutHeapFallback) {
+  // The link sizes FEC cache blocks from its MTU (16-byte header + 96
+  // payload bytes here), so every cached blob of a lossy run must fit
+  // the pool: no heap fallback.  Smaller blocks change no output — the
+  // run replays its digest and decodes only clean pictures.
+  std::uint64_t dropped = 0;
+  std::uint64_t recovered = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const E2eResult a = run_e2e(seed, 0.1, fault::kNetKinds, /*fec=*/true);
+    const E2eResult b = run_e2e(seed, 0.1, fault::kNetKinds, /*fec=*/true);
+    expect_pics_match_clean(a, "mtu-sized fec pool");
+    dropped += a.channel.dropped_data;
+    recovered += a.stats.packets_recovered;
+    EXPECT_GT(a.fec_pool.acquires, 0u) << "seed " << seed;
+    EXPECT_EQ(a.fec_pool.heap_fallbacks, 0u) << "seed " << seed;
+    EXPECT_EQ(fault::digest_pictures(a.pics), fault::digest_pictures(b.pics))
+        << "seed " << seed;
+    EXPECT_EQ(a.stats.packets_recovered, b.stats.packets_recovered)
+        << "seed " << seed;
+  }
+  EXPECT_GT(dropped, 0u) << "sweep never exercised loss";
+  EXPECT_GT(recovered, 0u) << "sweep never exercised recovery";
 }
 
 TEST(Transport, NoFecLossResyncsWithoutCrash) {

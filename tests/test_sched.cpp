@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -159,6 +161,26 @@ TEST(BufferPool, ExhaustionAndOversizeFallBackToHeap) {
   core::BufferRef e = pool.acquire(10);  // freed block available again
   EXPECT_TRUE(e.pooled());
   EXPECT_EQ(pool.stats().high_water, 2u);
+}
+
+TEST(BufferPool, OddBlockSizesKeepEveryBlockAligned) {
+  // Block sizes come from wire MTUs, which need not be a multiple of
+  // the header alignment; every block's payload must still be
+  // max_align_t-aligned (the serve layer stages floats through them).
+  for (const std::size_t block_size : {std::size_t{1}, std::size_t{113},
+                                       std::size_t{127}}) {
+    core::BufferPool pool(core::BufferPoolConfig{block_size, 5});
+    std::vector<core::BufferRef> refs;
+    for (int i = 0; i < 5; ++i) {
+      refs.push_back(pool.acquire(block_size));
+      ASSERT_TRUE(refs.back().pooled()) << "block_size " << block_size;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(refs.back().data()) %
+                    alignof(std::max_align_t),
+                0u)
+          << "block_size " << block_size << " block " << i;
+      std::memset(refs.back().data(), 0x5A, block_size);
+    }
+  }
 }
 
 TEST(BufferPool, PooledAndHeapBuffersCarryIdenticalBytes) {

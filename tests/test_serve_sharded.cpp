@@ -1,7 +1,8 @@
 // Sharded / event-driven serving tests: the scheduling-invariance
 // contract (shards x wheel x work-steal all reproduce the compat run
 // byte-for-byte), two-run replay identity for a lossy sharded fleet,
-// feature-bank-cache byte identity on quantized workloads, duty-cycle
+// feature-bank-cache byte identity on quantized workloads (clean and
+// over a lossy simulcast transport) and its eligibility rule, duty-cycle
 // transparency on the timer wheel, and the zero-steady-state-allocation
 // pin for the pooled serve path.
 #include <gtest/gtest.h>
@@ -14,16 +15,21 @@
 #include "android/personality.hpp"
 #include "core/affect_table.hpp"
 #include "core/thread_pool.hpp"
+#include "fault/plan.hpp"
+#include "fault/scenario.hpp"
 #include "nn/model.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "serve/server.hpp"
+#include "simulcast/encoder.hpp"
 
 namespace affect = affectsys::affect;
 namespace android = affectsys::android;
 namespace core = affectsys::core;
+namespace fault = affectsys::fault;
 namespace nn = affectsys::nn;
 namespace obs = affectsys::obs;
 namespace serve = affectsys::serve;
+namespace simulcast = affectsys::simulcast;
 
 namespace {
 
@@ -84,6 +90,17 @@ struct ShardWorld {
 
 ShardWorld& world() {
   static ShardWorld w;
+  return w;
+}
+
+/// Hop-quantized scripts plus the stock 3-layer simulcast clip, for the
+/// cache tests over the simulcast transport.  Built on first use only.
+serve::SharedWorkload& quantized_simulcast_workload() {
+  static serve::SharedWorkload w([] {
+    serve::WorkloadConfig wc = ShardWorld::quantized_config();
+    wc.simulcast = simulcast::default_simulcast_config();
+    return wc;
+  }());
   return w;
 }
 
@@ -300,18 +317,119 @@ TEST(FeatureBank, QuantizedScriptCacheByteIdentity) {
   }
 }
 
-// Per-session fault plans index real audio, which diverges from the
-// script — such sessions must decline the cache even when it exists.
-TEST(FeatureBank, FaultedSessionDeclinesCache) {
+// Eligibility follows what a session's fault plan can do to its
+// samples: a plan that can fire an audio kind (the default kAllKinds
+// included) pushes audio that diverges from the script the cache
+// indexes, so the session declines the cache; plans limited to net,
+// stall, bitstream or batcher kinds leave the pushed stream equal to
+// the script and keep it.
+TEST(FeatureBank, CacheEligibilityFollowsAudioKinds) {
+  using fault::FaultKind;
+  using fault::kind_bit;
+  struct Row {
+    const char* name;
+    double rate;
+    std::uint32_t kinds;
+    bool cached;
+  };
+  const Row rows[] = {
+      {"clean", 0.0, fault::kAllKinds, true},
+      {"all kinds (default)", 0.05, fault::kAllKinds, false},
+      {"audio kinds", 0.05, fault::kAudioKinds, false},
+      {"audio drop only", 0.05, kind_bit(FaultKind::kAudioDrop), false},
+      {"net + audio zero", 0.05,
+       fault::kNetKinds | kind_bit(FaultKind::kAudioZero), false},
+      {"net kinds", 0.05, fault::kNetKinds, true},
+      {"session stall", 0.05, kind_bit(FaultKind::kSessionStall), true},
+      {"bitstream kinds", 0.05, fault::kBitstreamKinds, true},
+      {"batcher fallback", 0.05, kind_bit(FaultKind::kBatcherFallback), true},
+  };
   serve::ServerConfig cfg;
+  cfg.max_sessions = std::size(rows);
   serve::SessionManager server(cfg, world().env(/*use_quantized=*/true));
-  serve::SessionConfig faulty = cfg.session;
-  faulty.seed = 5;
-  faulty.fault.rate = 0.05;
-  const auto clean_id = server.create_session();
-  const auto faulty_id = server.create_session(faulty);
-  EXPECT_TRUE(server.session(clean_id).using_feature_cache());
-  EXPECT_FALSE(server.session(faulty_id).using_feature_cache());
+  for (const Row& row : rows) {
+    serve::SessionConfig sc = cfg.session;
+    sc.seed = 5;
+    sc.fault = fault::FaultConfig{7, row.rate, row.kinds};
+    const auto id = server.create_session(sc);
+    EXPECT_EQ(server.session(id).using_feature_cache(), row.cached)
+        << row.name;
+  }
+}
+
+// Sessions whose plans can only touch the network (and one that can
+// only stall) are served from the cache, and the run stays
+// byte-identical to live extraction: 3-layer simulcast over the lossy
+// FEC transport, cache on vs off, at 1 and 4 shards.
+TEST(FeatureBank, NetFaultedCacheByteIdentity) {
+  struct Outcome {
+    std::vector<serve::SessionReport> reports;
+    std::vector<bool> using_cache;
+  };
+  const auto run = [](bool cache, std::size_t shards) {
+    serve::ServerConfig cfg;
+    cfg.feature_bank_cache = cache;
+    cfg.shards = shards;
+    cfg.wheel = shards > 1;
+    cfg.session.simulcast.enabled = true;
+    cfg.session.transport = fault::net_scenario_transport(true);
+    cfg.session.transport.layers = 3;
+    serve::SessionEnv env = world().env(/*use_quantized=*/true);
+    env.workload = &quantized_simulcast_workload();
+    serve::SessionManager server(cfg, env);
+    std::vector<serve::SessionId> ids;
+    const double net_rates[] = {0.02, 0.03, 0.05};
+    for (std::size_t i = 0; i < std::size(net_rates); ++i) {
+      serve::SessionConfig sc = cfg.session;
+      sc.seed = static_cast<unsigned>(31 + i);
+      sc.fault = fault::FaultConfig{90 + i, net_rates[i], fault::kNetKinds};
+      ids.push_back(server.create_session(sc));
+    }
+    serve::SessionConfig stall = cfg.session;
+    stall.seed = 40;
+    stall.fault = fault::FaultConfig{
+        94, 0.05, fault::kind_bit(fault::FaultKind::kSessionStall)};
+    ids.push_back(server.create_session(stall));
+    for (int i = 0; i < 120; ++i) server.tick();
+    server.drain();
+    Outcome out;
+    for (const auto id : ids) {
+      out.reports.push_back(server.report(id));
+      out.using_cache.push_back(server.session(id).using_feature_cache());
+    }
+    return out;
+  };
+
+  // Compared per shard count: a session whose window phase differs
+  // from its shard-mates (the stall re-anchors it) may see its results
+  // on a different tick under another sharding.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    const Outcome live = run(/*cache=*/false, shards);
+    const Outcome cached = run(/*cache=*/true, shards);
+    ASSERT_EQ(live.reports.size(), 4u);
+    ASSERT_EQ(cached.reports.size(), live.reports.size());
+    std::uint64_t lost = 0;
+    for (std::size_t i = 0; i < 3; ++i) {
+      lost += live.reports[i].transport.packets_lost;
+    }
+    EXPECT_GT(lost, 0u) << "shards=" << shards << ": no packet dropped";
+    EXPECT_GT(live.reports[3].stats.stall_ticks, 0u)
+        << "shards=" << shards << ": no stall fired";
+    EXPECT_GT(live.reports[3].realtime.gap_resyncs, 0u)
+        << "shards=" << shards << ": no stall outlasted the gap tolerance";
+    for (std::size_t i = 0; i < live.reports.size(); ++i) {
+      EXPECT_FALSE(live.using_cache[i])
+          << "shards=" << shards << " session " << i;
+      EXPECT_TRUE(cached.using_cache[i])
+          << "shards=" << shards << " session " << i;
+      EXPECT_GT(cached.reports[i].stats.feature_rows_cached,
+                cached.reports[i].stats.feature_rows_live)
+          << "shards=" << shards << " session " << i;
+      EXPECT_TRUE(reports_identical(cached.reports[i], live.reports[i],
+                                    /*ignore_cache_counters=*/true))
+          << "shards=" << shards << " session " << i;
+    }
+  }
 }
 
 // --------------------------------------------------- duty-cycle wheel

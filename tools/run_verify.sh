@@ -5,6 +5,8 @@
 #   tools/run_verify.sh default    # stock build (threads ON) only
 #   tools/run_verify.sh nothreads  # serial reference (-DAFFECTSYS_THREADS=OFF)
 #   tools/run_verify.sh sanitize   # ASan+UBSan build
+#   tools/run_verify.sh threads    # tier-1 under ASan+UBSan at 0 and nproc
+#                                  # pool workers (AFFECTSYS_NUM_THREADS)
 #   tools/run_verify.sh tsan       # TSan build, race-sensitive tests only
 #   tools/run_verify.sh kernels    # Release build: kernel suite + bench
 #   tools/run_verify.sh serve      # session-server suite under TSan (shard
@@ -48,6 +50,17 @@ run_pass() {
 pass_default()   { run_pass build default tier1; }
 pass_nothreads() { run_pass build-nothreads nothreads tier1 -DAFFECTSYS_THREADS=OFF; }
 pass_sanitize()  { run_pass build-asan sanitize tier1 -DAFFECTSYS_SANITIZE=ON; }
+# Thread matrix: tier-1 under ASan+UBSan with the default pool forced
+# to the inline path (AFFECTSYS_NUM_THREADS=0) and to one worker per
+# core.  Exit-time teardown bugs (pool workers outliving what their
+# tasks touch) only show with workers, and a 1-core host defaults to 0.
+pass_threads() {
+  local n
+  for n in 0 "$jobs"; do
+    AFFECTSYS_NUM_THREADS="$n" run_pass build-asan "threads-$n" tier1 \
+      -DAFFECTSYS_SANITIZE=ON
+  done
+}
 # The parallel suites force worker threads via set_global_threads(), so
 # TSan sees real cross-thread traffic even on a single-core host.
 pass_tsan()      { run_pass build-tsan tsan tsan -DAFFECTSYS_SANITIZE=thread; }
@@ -266,6 +279,7 @@ case "$mode" in
   default)   pass_default ;;
   nothreads) pass_nothreads ;;
   sanitize)  pass_sanitize ;;
+  threads)   pass_threads ;;
   tsan)      pass_tsan ;;
   kernels)   pass_kernels ;;
   serve)     pass_serve ;;
@@ -278,6 +292,7 @@ case "$mode" in
     pass_default
     pass_nothreads
     pass_sanitize
+    pass_threads
     pass_tsan
     pass_kernels
     pass_serve
@@ -287,7 +302,7 @@ case "$mode" in
     pass_simulcast
     pass_conference
     ;;
-  *) echo "usage: $0 [default|nothreads|sanitize|tsan|kernels|serve|fault|net|inference|simulcast|conference|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [default|nothreads|sanitize|threads|tsan|kernels|serve|fault|net|inference|simulcast|conference|all]" >&2; exit 2 ;;
 esac
 
 echo "verification passed ($mode)"
