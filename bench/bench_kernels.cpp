@@ -1,11 +1,13 @@
 // Single-core kernel sweep: times each optimized kernel against the
-// pre-optimization reference that this PR kept callable — the
+// pre-optimization reference kept callable beside it — the
 // zero-allocation feature pipeline vs the allocating complex-FFT path,
 // the strided-pointer deblocker vs the accessor-based one, the
-// register-blocked GEMM micro-kernel vs the k-tiled axpy, and the
-// real-input FFT vs the full complex transform.  Dumps
-// BENCH_kernels.json; tools/run_verify.sh `kernels` mode regresses
-// windows_per_sec against the committed copy.
+// register-blocked GEMM micro-kernel vs the k-tiled axpy, the
+// real-input FFT vs the full complex transform, and the windowed
+// separable half-pel MC vs per-sample sample_halfpel — plus the whole
+// decoder on the serve workload clip (ns/MB and the MC / IQIT /
+// deblock shares of it).  Dumps BENCH_kernels.json; tools/run_verify.sh
+// `kernels` mode regresses windows_per_sec against the committed copy.
 //
 // Everything runs with the pool disabled (set_global_threads(0)): these
 // are the kernels the single-core edge target actually executes, and
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "affect/dataset.hpp"
@@ -31,8 +34,14 @@
 #include "affect/speech_synth.hpp"
 #include "core/thread_pool.hpp"
 #include "h264/deblock.hpp"
+#include "h264/decoder.hpp"
+#include "h264/encoder.hpp"
+#include "h264/inter.hpp"
+#include "h264/nal.hpp"
+#include "h264/testvideo.hpp"
 #include "nn/matrix.hpp"
 #include "obs/json.hpp"
+#include "serve/workload.hpp"
 #include "signal/fft.hpp"
 
 using namespace affectsys;
@@ -367,6 +376,157 @@ Pair bench_rfft() {
   return p;
 }
 
+// --- Half-pel MC: ns per 16x16 luma block --------------------------------
+
+Pair bench_mc(bool& ok) {
+  h264::Plane ref(64, 64);
+  std::uint64_t s = 0x9E3779B97F4A7C15ull;
+  for (auto& v : ref.data) {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    v = static_cast<std::uint8_t>(s);
+  }
+  // Every macroblock of the plane under vectors of all four phase
+  // classes, short and long enough to cross each border.
+  struct Job {
+    int x0, y0;
+    h264::MotionVector mv;
+  };
+  std::vector<Job> jobs;
+  const h264::MotionVector mvs[] = {{0, 0},  {1, 0},  {0, 1},   {1, 1},
+                                    {-3, 5}, {7, -9}, {-5, -5}, {4, 3},
+                                    {13, 2}, {-2, -11}};
+  for (int y0 = 0; y0 < 64; y0 += 16) {
+    for (int x0 = 0; x0 < 64; x0 += 16) {
+      for (const auto& mv : mvs) jobs.push_back({x0, y0, mv});
+    }
+  }
+  auto reference = [&](const Job& j, std::uint8_t* pred) {
+    for (int y = 0; y < 16; ++y) {
+      for (int x = 0; x < 16; ++x) {
+        pred[y * 16 + x] = h264::sample_halfpel(
+            ref, 2 * (j.x0 + x) + j.mv.dx, 2 * (j.y0 + y) + j.mv.dy);
+      }
+    }
+  };
+
+  std::uint8_t a[256], b[256];
+  for (const Job& j : jobs) {
+    h264::motion_compensate_halfpel(ref, j.x0, j.y0, 16, j.mv, a);
+    reference(j, b);
+    if (std::memcmp(a, b, sizeof a) != 0) {
+      std::fprintf(stderr, "half-pel MC mismatch vs sample_halfpel\n");
+      ok = false;
+      return {};
+    }
+  }
+
+  constexpr int kOptReps = 400;
+  constexpr int kRefReps = 20;  // per-sample loop: fewer reps, same rounds
+  Pair p;  // ns per block; speedup computed as ref/opt below
+  unsigned sink = 0;
+  p.opt = min_seconds([&] {
+    for (int r = 0; r < kOptReps; ++r) {
+      for (const Job& j : jobs) {
+        h264::motion_compensate_halfpel(ref, j.x0, j.y0, 16, j.mv, a);
+        sink += a[r & 255];
+      }
+    }
+  }) * 1e9 / (kOptReps * static_cast<double>(jobs.size()));
+  p.ref = min_seconds([&] {
+    for (int r = 0; r < kRefReps; ++r) {
+      for (const Job& j : jobs) {
+        reference(j, b);
+        sink += b[r & 255];
+      }
+    }
+  }) * 1e9 / (kRefReps * static_cast<double>(jobs.size()));
+  if (sink == 1u) std::printf("(unlikely)\n");
+  return p;
+}
+
+// --- Decoder: ns/MB on the serve workload clip ----------------------------
+
+struct DecodeProfile {
+  double ns_per_mb = 0.0;
+  double mc_share = 0.0;
+  double iqit_share = 0.0;
+  double deblock_share = 0.0;
+  double clock_ns = 0.0;  ///< one clock read, subtracted per timed region
+};
+
+DecodeProfile bench_decode() {
+  const serve::WorkloadConfig wc;
+  h264::Encoder enc(wc.encoder);
+  const std::vector<h264::NalUnit> clip =
+      h264::unpack_annexb(enc.encode_annexb(
+          h264::generate_mixed_video(wc.video, wc.quiet_fraction)));
+
+  // One pass the way a served session decodes: resilient, deblocking
+  // on, every picture recycled.
+  const h264::DecoderConfig cfg{/*enable_deblock=*/true, /*resilient=*/true};
+  h264::Decoder dec(cfg);
+  auto one_pass = [&] {
+    dec.reset(cfg);
+    for (const h264::NalUnit& nal : clip) {
+      if (auto pic = dec.decode_nal(nal)) dec.recycle(std::move(pic->frame));
+    }
+  };
+  one_pass();
+  const h264::DecodeActivity act = dec.activity();
+  const double mbs = static_cast<double>(act.frames_decoded) *
+                     (wc.encoder.width / h264::kMbSize) *
+                     (wc.encoder.height / h264::kMbSize);
+
+  constexpr int kPasses = 20;
+  DecodeProfile out;
+  const double pass_ns = min_seconds([&] {
+    for (int i = 0; i < kPasses; ++i) one_pass();
+  }) * 1e9 / kPasses;
+  out.ns_per_mb = pass_ns / mbs;
+
+  // Module shares from profiled passes (the fastest of three rounds,
+  // like every other timing here).  Each timed region also reads one
+  // clock call's cost, measured here and taken back out.
+  double clock_ns = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 3; ++r) {
+    constexpr int kPairs = 100000;
+    std::int64_t sum = 0;
+    for (int i = 0; i < kPairs; ++i) {
+      const auto t0 = Clock::now();
+      sum += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 Clock::now() - t0)
+                 .count();
+    }
+    clock_ns = std::min(clock_ns, static_cast<double>(sum) / kPairs);
+  }
+  h264::DecodeStageTimes st;
+  double best_round = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < 3; ++r) {
+    h264::DecodeStageTimes round;
+    dec.time_stages(&round);
+    const double t = min_seconds([&] {
+      for (int i = 0; i < kPasses; ++i) one_pass();
+    }, 1);
+    if (t < best_round) {
+      best_round = t;
+      st = round;
+    }
+  }
+  dec.time_stages(nullptr);
+  out.clock_ns = clock_ns;
+  auto share = [&](std::uint64_t ns, std::uint64_t regions_per_pass) {
+    const double net = static_cast<double>(ns) / kPasses -
+                       clock_ns * static_cast<double>(regions_per_pass);
+    return std::max(0.0, net) / pass_ns;
+  };
+  out.mc_share = share(st.mc_ns, act.inter_mbs + act.skip_mbs);
+  out.iqit_share = share(st.iqit_ns, act.iqit_blocks);
+  out.deblock_share = share(st.deblock_ns, act.frames_decoded);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -374,18 +534,22 @@ int main(int argc, char** argv) {
   core::set_global_threads(0);  // single-core: time the kernels themselves
   bool ok = true;
 
-  std::printf("[1/6] feature pipeline...\n");
+  std::printf("[1/8] feature pipeline...\n");
   const Pair feat = bench_features(ok);
-  std::printf("[2/6] deblocking...\n");
+  std::printf("[2/8] deblocking...\n");
   const Pair dbk = bench_deblock(ok);
-  std::printf("[3/6] gemm...\n");
+  std::printf("[3/8] gemm...\n");
   const Pair gemm = bench_gemm();
-  std::printf("[4/6] int8 gemm...\n");
+  std::printf("[4/8] int8 gemm...\n");
   const Pair i8 = bench_int8_gemm(ok);
-  std::printf("[5/6] hamming...\n");
+  std::printf("[5/8] hamming...\n");
   const Pair ham = bench_hamming(ok);
-  std::printf("[6/6] rfft...\n");
+  std::printf("[6/8] rfft...\n");
   const Pair rfft = bench_rfft();
+  std::printf("[7/8] half-pel mc...\n");
+  const Pair mc = bench_mc(ok);
+  std::printf("[8/8] decode...\n");
+  const DecodeProfile dec = bench_decode();
   if (!ok) return 1;
 
   // The inference ladder's middle rung only earns its quantization
@@ -401,6 +565,10 @@ int main(int argc, char** argv) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench").value("kernels");
+  w.key("host").begin_object();
+  w.key("hardware_concurrency")
+      .value(std::uint64_t{std::thread::hardware_concurrency()});
+  w.end_object();
   w.key("feature").begin_object();
   w.key("windows_per_sec").value(feat.opt);
   w.key("ref_windows_per_sec").value(feat.ref);
@@ -431,6 +599,18 @@ int main(int argc, char** argv) {
   w.key("ref_us_per_call").value(rfft.ref);
   w.key("speedup").value(rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
   w.end_object();
+  w.key("mc").begin_object();
+  w.key("ns_per_block").value(mc.opt);
+  w.key("ref_ns_per_block").value(mc.ref);
+  w.key("speedup").value(mc.opt > 0.0 ? mc.ref / mc.opt : 0.0);
+  w.end_object();
+  w.key("decode").begin_object();
+  w.key("ns_per_mb").value(dec.ns_per_mb);
+  w.key("mc_share").value(dec.mc_share);
+  w.key("iqit_share").value(dec.iqit_share);
+  w.key("deblock_share").value(dec.deblock_share);
+  w.key("clock_ns").value(dec.clock_ns);
+  w.end_object();
   w.end_object();
 
   std::ofstream out(out_path);
@@ -453,6 +633,13 @@ int main(int argc, char** argv) {
               ham.opt > 0.0 ? ham.ref / ham.opt : 0.0);
   std::printf("rfft:    %.2f us/call (ref %.2f, %.2fx)\n", rfft.opt, rfft.ref,
               rfft.opt > 0.0 ? rfft.ref / rfft.opt : 0.0);
+  std::printf("mc:      %.0f ns/block (ref %.0f, %.2fx)\n", mc.opt, mc.ref,
+              mc.opt > 0.0 ? mc.ref / mc.opt : 0.0);
+  std::printf(
+      "decode:  %.0f ns/MB (mc %.1f%%, iqit %.1f%%, deblock %.1f%%; clock "
+      "read %.0f ns)\n",
+      dec.ns_per_mb, 100.0 * dec.mc_share, 100.0 * dec.iqit_share,
+      100.0 * dec.deblock_share, dec.clock_ns);
   std::printf("wrote %s\n", out_path.c_str());
   return ok ? 0 : 1;
 }

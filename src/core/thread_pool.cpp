@@ -133,7 +133,13 @@ void ThreadPool::parallel_for(
   // progress is guaranteed even if no worker ever picks a helper up.
   const std::size_t helpers = std::min(workers_.size(), st->n_chunks - 1);
   for (std::size_t i = 0; i < helpers; ++i) enqueue(run_chunks);
+  // While the caller runs chunks it counts as on-pool, so a parallel_for
+  // nested in one of its chunks runs inline like one nested in a
+  // worker's chunk instead of enqueueing helpers of its own.
+  const ThreadPool* const outer = tls_pool;
+  tls_pool = this;
   run_chunks();
+  tls_pool = outer;
 
   std::unique_lock<std::mutex> lk(st->mu);
   st->cv.wait(lk, [&] { return st->done == st->n_chunks; });

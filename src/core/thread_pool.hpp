@@ -18,8 +18,9 @@
 //    contiguous chunks of ~grain indices and invokes fn(lo, hi) for
 //    each.  The caller participates in chunk execution, so the call
 //    never deadlocks even when every worker is busy.  A parallel_for
-//    issued from inside a pool task of the same pool runs inline
-//    (nested parallelism does not oversubscribe or deadlock).
+//    issued from inside a pool task or a parallel_for chunk of the same
+//    pool (the caller's own chunks included) runs inline: nested
+//    parallelism does not oversubscribe or deadlock.
 //  - The first exception thrown by any chunk is rethrown on the caller
 //    after all claimed chunks finished; remaining chunks are skipped.
 #pragma once
@@ -51,7 +52,8 @@ class ThreadPool {
   /// Number of worker threads (0 = inline mode).
   std::size_t size() const { return workers_.size(); }
 
-  /// True when called from one of this pool's worker threads.
+  /// True when called from one of this pool's worker threads, or from a
+  /// caller while it runs its own parallel_for chunks.
   bool on_pool_thread() const;
 
   /// Runs `fn` asynchronously; the returned future carries the result

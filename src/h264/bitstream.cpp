@@ -1,5 +1,6 @@
 #include "h264/bitstream.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace affectsys::h264 {
@@ -41,31 +42,51 @@ void BitWriter::finish_rbsp() {
   while (spare_ != 0) put_bit(false);
 }
 
-bool BitReader::get_bit() {
-  if (pos_ >= data_.size() * 8) {
-    throw BitstreamError("BitReader: read past end of stream");
+void BitReader::refill() {
+  while (cached_ <= 56 && next_byte_ < data_.size()) {
+    cache_ |= static_cast<std::uint64_t>(data_[next_byte_++])
+              << (56 - cached_);
+    cached_ += 8;
   }
-  const std::uint8_t byte = data_[pos_ / 8];
-  const bool b = (byte >> (7 - pos_ % 8)) & 1u;
-  ++pos_;
-  return b;
+}
+
+void BitReader::fail_past_end() {
+  // Only reached after refill() has run out of data, so dropping the
+  // cache consumes every remaining bit.
+  cache_ = 0;
+  cached_ = 0;
+  throw BitstreamError("BitReader: read past end of stream");
 }
 
 std::uint32_t BitReader::get_bits(unsigned count) {
   if (count > 32) throw std::invalid_argument("get_bits: count > 32");
-  std::uint32_t v = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    v = (v << 1) | static_cast<std::uint32_t>(get_bit());
+  if (count == 0) return 0;
+  if (cached_ < count) {
+    refill();
+    if (cached_ < count) fail_past_end();
   }
+  const auto v = static_cast<std::uint32_t>(cache_ >> (64 - count));
+  cache_ <<= count;
+  cached_ -= count;
   return v;
 }
 
 std::uint32_t BitReader::get_ue() {
-  unsigned zeros = 0;
-  while (!get_bit()) {
-    if (++zeros > 31) throw BitstreamError("get_ue: malformed Exp-Golomb");
+  // After this the cache holds >= 32 bits or everything that is left,
+  // so a zero prefix running past the cached bits means end of data.
+  if (cached_ < 32) refill();
+  const unsigned zeros = std::min<unsigned>(
+      static_cast<unsigned>(std::countl_zero(cache_)), cached_);
+  if (zeros > 31) {
+    // A bit-at-a-time parser gives up on the 32nd leading zero.
+    cache_ <<= 32;
+    cached_ -= 32;
+    throw BitstreamError("get_ue: malformed Exp-Golomb");
   }
-  std::uint32_t suffix = zeros ? get_bits(zeros) : 0;
+  if (zeros == cached_) fail_past_end();  // no terminating 1 bit
+  cache_ <<= zeros + 1;
+  cached_ -= zeros + 1;
+  const std::uint32_t suffix = get_bits(zeros);
   return (1u << zeros) - 1 + suffix;
 }
 

@@ -37,23 +37,36 @@ class BitWriter {
   unsigned spare_ = 0;  ///< unused low bits in the last byte
 };
 
-/// MSB-first bit reader over an RBSP payload.
+/// MSB-first bit reader over an RBSP payload.  Reads are served from a
+/// 64-bit cache refilled a byte at a time; a read that runs off the end
+/// consumes every remaining bit and throws BitstreamError, exactly as a
+/// bit-at-a-time reader would, so bits_consumed() is the same after a
+/// success or a failure.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  bool get_bit();
+  bool get_bit() { return get_bits(1) != 0; }
   std::uint32_t get_bits(unsigned count);  ///< count <= 32
   std::uint32_t get_ue();
   std::int32_t get_se();
 
-  std::size_t bits_consumed() const { return pos_; }
-  std::size_t bits_remaining() const { return data_.size() * 8 - pos_; }
-  bool byte_aligned() const { return pos_ % 8 == 0; }
+  std::size_t bits_consumed() const { return next_byte_ * 8 - cached_; }
+  std::size_t bits_remaining() const {
+    return data_.size() * 8 - bits_consumed();
+  }
+  bool byte_aligned() const { return bits_consumed() % 8 == 0; }
 
  private:
+  /// Tops the cache up to at least 57 bits, or to the end of the data.
+  void refill();
+  /// Consumes every remaining bit and throws the read-past-end error.
+  [[noreturn]] void fail_past_end();
+
   std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;  ///< in bits
+  std::size_t next_byte_ = 0;  ///< first byte not yet in the cache
+  std::uint64_t cache_ = 0;    ///< unread bits, MSB-aligned; rest zero
+  unsigned cached_ = 0;        ///< valid bits in cache_
 };
 
 /// Inserts emulation-prevention bytes (0x03 after 0x0000 when the next

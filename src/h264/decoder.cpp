@@ -1,6 +1,8 @@
 #include "h264/decoder.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <stdexcept>
 
 #include "h264/bitstream.hpp"
@@ -38,7 +40,20 @@ void check_mv(const MotionVector& mv) {
 
 void store_block(Plane& p, int x0, int y0, int size, const std::uint8_t* in) {
   for (int y = 0; y < size; ++y) {
-    for (int x = 0; x < size; ++x) p.at(x0 + x, y0 + y) = in[y * size + x];
+    std::memcpy(&p.at(x0, y0 + y), in + y * size,
+                static_cast<std::size_t>(size));
+  }
+}
+
+/// Adds the dequantized, inverse-transformed residual of `levels` to the
+/// 4x4 block at `px` (row stride `stride`).
+void add_residual(std::uint8_t* px, int stride, const Block4x4& levels,
+                  int qp) {
+  const Block4x4 res = dequantize_inverse(levels, qp);
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 4; ++x) {
+      px[y * stride + x] = clamp_pixel(px[y * stride + x] + res[y][x]);
+    }
   }
 }
 
@@ -124,9 +139,7 @@ YuvFrame Decoder::take_frame() {
     YuvFrame f = std::move(spare_frames_.back());
     spare_frames_.pop_back();
     if (f.width() != width_ || f.height() != height_) continue;  // stale size
-    std::fill(f.y.data.begin(), f.y.data.end(), std::uint8_t{0});
-    std::fill(f.cb.data.begin(), f.cb.data.end(), std::uint8_t{0});
-    std::fill(f.cr.data.begin(), f.cr.data.end(), std::uint8_t{0});
+    f.blank();
     return f;
   }
   return YuvFrame(width_, height_);
@@ -234,6 +247,42 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
   std::uint8_t pred_b[kMbSize * kMbSize];
   std::uint8_t pred_cb[64], pred_cr[64], tmp_c[64];
 
+  // Per-module wall time, read only while a profile is attached.
+  using Clock = std::chrono::steady_clock;
+  auto stage_clock = [&] {
+    return stage_times_ ? Clock::now() : Clock::time_point{};
+  };
+  auto charge_stage = [&](std::uint64_t DecodeStageTimes::*stage,
+                          Clock::time_point t0) {
+    if (!stage_times_) return;
+    stage_times_->*stage += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             t0)
+            .count());
+  };
+
+  // Parses one 4x4 residual block, counts it for the power model and
+  // adds it onto the prediction at `px`.  A block with no nonzero level
+  // has an all-zero residual, so IQIT is skipped and the prediction
+  // stands.  Returns whether any level was nonzero (the deblocker's
+  // coded-residual flag).
+  auto residual = [&](std::uint8_t* px, int stride) {
+    int nz = 0;
+    const Block4x4 levels = decode_residual_block(br, &nz);
+    ++activity_.residual_blocks;
+    activity_.coefficients += static_cast<std::uint64_t>(nz);
+    if (nz == 0) return false;
+    ++activity_.iqit_blocks;
+    const auto t0 = stage_clock();
+    add_residual(px, stride, levels, qp);
+    charge_stage(&DecodeStageTimes::iqit_ns, t0);
+    return true;
+  };
+  // The four 4x4 residual blocks of one 8x8 chroma prediction.
+  auto chroma_residual = [&](std::uint8_t* buf) {
+    for (int b = 0; b < 4; ++b) residual(buf + (b / 2) * 32 + (b % 2) * 4, 8);
+  };
+
   for (int mby = 0; mby < mb_rows; ++mby) {
     for (int mbx = 0; mbx < mb_cols; ++mbx) {
       const int x0 = mbx * kMbSize;
@@ -292,42 +341,19 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
                 br.get_ue() % kNumIntra4Modes);
             std::uint8_t p4[16];
             intra4_predict(recon.y, x0 + bx * 4, y0 + by * 4, mode, p4);
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            info.nonzero[static_cast<std::size_t>(by * 4 + bx)] = nz > 0;
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
+            std::uint8_t* px = &recon.y.at(x0 + bx * 4, y0 + by * 4);
             for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                recon.y.at(x0 + bx * 4 + x, y0 + by * 4 + y) =
-                    clamp_pixel(p4[y * 4 + x] + res[y][x]);
-              }
+              std::memcpy(px + y * width_, p4 + y * 4, 4);
             }
+            info.nonzero[static_cast<std::size_t>(by * 4 + bx)] =
+                residual(px, width_);
           }
         }
         chroma_mode = static_cast<IntraMode>(br.get_ue() % kNumIntraModes);
         intra_predict(recon.cb, x0 / 2, y0 / 2, 8, chroma_mode, pred_cb);
         intra_predict(recon.cr, x0 / 2, y0 / 2, 8, chroma_mode, pred_cr);
-        auto decode_chroma4 = [&](std::uint8_t* buf) {
-          for (int b = 0; b < 4; ++b) {
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = ((b / 2) * 4 + y) * 8 + (b % 2) * 4 + x;
-                buf[idx] = clamp_pixel(buf[idx] + res[y][x]);
-              }
-            }
-          }
-        };
-        decode_chroma4(pred_cb);
-        decode_chroma4(pred_cr);
+        chroma_residual(pred_cb);
+        chroma_residual(pred_cr);
         store_block(recon.cb, x0 / 2, y0 / 2, 8, pred_cb);
         store_block(recon.cr, x0 / 2, y0 / 2, 8, pred_cr);
         continue;  // MB fully reconstructed
@@ -341,6 +367,7 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
         intra_predict(recon.cb, x0 / 2, y0 / 2, 8, chroma_mode, pred_cb);
         intra_predict(recon.cr, x0 / 2, y0 / 2, 8, chroma_mode, pred_cr);
       } else {
+        const auto t0 = stage_clock();
         const bool skip = mb_type == kMbSkip;
         if (skip) {
           ++activity_.skip_mbs;
@@ -376,45 +403,19 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
           motion_compensate(ref->cr, x0 / 2, y0 / 2, 8, cmv, pred_cr);
         }
         info.mv = mv;
+        charge_stage(&DecodeStageTimes::mc_ns, t0);
       }
 
       // ---- Residual + reconstruction --------------------------------------
       if (!info.skipped) {
         for (int by = 0; by < 4; ++by) {
           for (int bx = 0; bx < 4; ++bx) {
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            info.nonzero[static_cast<std::size_t>(by * 4 + bx)] = nz > 0;
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = (by * 4 + y) * kMbSize + bx * 4 + x;
-                pred[idx] = clamp_pixel(pred[idx] + res[y][x]);
-              }
-            }
+            info.nonzero[static_cast<std::size_t>(by * 4 + bx)] =
+                residual(pred + by * 4 * kMbSize + bx * 4, kMbSize);
           }
         }
-        auto decode_chroma = [&](std::uint8_t* buf) {
-          for (int b = 0; b < 4; ++b) {
-            int nz = 0;
-            const Block4x4 levels = decode_residual_block(br, &nz);
-            ++activity_.residual_blocks;
-            activity_.coefficients += static_cast<std::uint64_t>(nz);
-            if (nz > 0) ++activity_.iqit_blocks;
-            const Block4x4 res = dequantize_inverse(levels, qp);
-            for (int y = 0; y < 4; ++y) {
-              for (int x = 0; x < 4; ++x) {
-                const int idx = ((b / 2) * 4 + y) * 8 + (b % 2) * 4 + x;
-                buf[idx] = clamp_pixel(buf[idx] + res[y][x]);
-              }
-            }
-          }
-        };
-        decode_chroma(pred_cb);
-        decode_chroma(pred_cr);
+        chroma_residual(pred_cb);
+        chroma_residual(pred_cr);
       }
       store_block(recon.y, x0, y0, kMbSize, pred);
       store_block(recon.cb, x0 / 2, y0 / 2, 8, pred_cb);
@@ -427,7 +428,9 @@ DecodedPicture Decoder::decode_slice(const NalUnit& nal) {
   AFFECTSYS_COUNT("h264.bits_parsed", br.bits_consumed());
 
   if (deblock_enabled()) {
+    const auto t0 = stage_clock();
     const DeblockStats st = deblock_frame(recon, mb_info, qp);
+    charge_stage(&DecodeStageTimes::deblock_ns, t0);
     activity_.deblock_edges_examined += st.edges_examined;
     activity_.deblock_edges_filtered += st.edges_filtered;
     activity_.deblock_pixels += st.pixels_modified;

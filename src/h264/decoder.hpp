@@ -65,6 +65,15 @@ struct DecodeActivity {
   DecodeActivity& operator+=(const DecodeActivity& o);
 };
 
+/// Wall time spent per decoder module while a profile is attached
+/// (Decoder::time_stages).  Each timed region costs two clock reads, so
+/// this is for profiling runs; the serving path never attaches one.
+struct DecodeStageTimes {
+  std::uint64_t mc_ns = 0;       ///< inter prediction, per inter/skip MB
+  std::uint64_t iqit_ns = 0;     ///< dequant + IDCT + add, per nonzero block
+  std::uint64_t deblock_ns = 0;  ///< deblocking filter, per picture
+};
+
 struct DecodedPicture {
   YuvFrame frame;
   int poc = 0;
@@ -103,6 +112,11 @@ class Decoder {
   const DecodeActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = {}; }
 
+  /// Attaches per-module time accumulators (nullptr detaches).  The
+  /// timed regions are activity().{inter,skip}_mbs MC regions,
+  /// iqit_blocks IQIT regions and one deblock region per picture.
+  void time_stages(DecodeStageTimes* out) { stage_times_ = out; }
+
   bool deblock_enabled() const { return cfg_.enable_deblock && pps_deblock_; }
   void set_deblock_enabled(bool on) { cfg_.enable_deblock = on; }
 
@@ -122,8 +136,9 @@ class Decoder {
 
   /// Returns a retired frame to the decoder's spare list.  decode_slice
   /// reuses spare frames of the current geometry for reconstruction
-  /// (zero-filled first, so recycled and fresh frames are
-  /// byte-identical) instead of allocating a new YuvFrame per picture.
+  /// (refilled with YuvFrame's blank values first, so a picture decodes
+  /// byte-identically into a recycled or a fresh frame) instead of
+  /// allocating a new YuvFrame per picture.
   void recycle(YuvFrame&& frame);
 
   /// Upstream loss report: a transport depacketizer (or any feeder) has
@@ -139,12 +154,13 @@ class Decoder {
  private:
   std::optional<DecodedPicture> decode_nal_checked(const NalUnit& nal);
   DecodedPicture decode_slice(const NalUnit& nal);
-  /// Zero-filled frame at the current geometry, reusing a recycled
-  /// frame's storage when one fits.
+  /// Blank frame at the current geometry, reusing a recycled frame's
+  /// storage when one fits.
   YuvFrame take_frame();
 
   DecoderConfig cfg_;
   DecodeActivity activity_;
+  DecodeStageTimes* stage_times_ = nullptr;
   int width_ = 0;
   int height_ = 0;
   int qp_ = 26;

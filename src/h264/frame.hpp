@@ -1,12 +1,18 @@
 // Planar YUV 4:2:0 frame buffer and pixel helpers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 namespace affectsys::h264 {
 
 inline constexpr int kMbSize = 16;  ///< luma macroblock dimension
+/// Sample values a fresh frame starts from (black luma, neutral chroma).
+/// Intra prediction at frame edges reads not-yet-decoded samples, so
+/// every reconstruction frame must start from exactly these values.
+inline constexpr std::uint8_t kBlankLuma = 16;
+inline constexpr std::uint8_t kBlankChroma = 128;
 
 /// One 8-bit plane with clamped sampling for prediction at frame edges.
 struct Plane {
@@ -26,7 +32,9 @@ struct Plane {
     return data[static_cast<std::size_t>(y) * width + x];
   }
   /// Sample with coordinates clamped into the plane (for MC at borders).
-  std::uint8_t at_clamped(int x, int y) const;
+  std::uint8_t at_clamped(int x, int y) const {
+    return at(std::clamp(x, 0, width - 1), std::clamp(y, 0, height - 1));
+  }
 };
 
 /// 4:2:0 frame; luma dimensions must be multiples of 16.
@@ -46,8 +54,13 @@ struct YuvFrame {
   bool same_size(const YuvFrame& o) const {
     return width() == o.width() && height() == o.height();
   }
+  /// Refills every plane with the blank values a fresh frame starts
+  /// from, so a reused frame reconstructs exactly like a new one.
+  void blank();
 };
 
-std::uint8_t clamp_pixel(int v);
+inline std::uint8_t clamp_pixel(int v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
+}
 
 }  // namespace affectsys::h264

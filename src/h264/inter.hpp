@@ -16,7 +16,8 @@ struct MotionVector {
 };
 
 /// Copies the motion-compensated `size`x`size` block at (x0+mv, y0+mv)
-/// from `ref` into `pred` with edge clamping.
+/// from `ref` into `pred` with edge clamping.  size <= kMbSize
+/// (std::invalid_argument otherwise).
 void motion_compensate(const Plane& ref, int x0, int y0, int size,
                        MotionVector mv, std::uint8_t* pred);
 
@@ -38,15 +39,20 @@ MotionVector motion_search(const Plane& src, const Plane& ref, int x0,
 // the filter horizontally then vertically, as in 8.4.2.2.1.
 
 /// Interpolated luma sample at half-pel resolution.
-/// (hx, hy) are plane coordinates in half-pel units.
+/// (hx, hy) are plane coordinates in half-pel units.  This per-sample
+/// form is the reference motion_compensate_halfpel is proven against.
 std::uint8_t sample_halfpel(const Plane& ref, int hx, int hy);
 
-/// Motion compensation with a half-pel vector.
+/// Motion compensation with a half-pel vector: byte-identical to
+/// sample_halfpel at every output position, but fetches the clamped
+/// 6-tap support once and filters it separably.  size <= kMbSize
+/// (std::invalid_argument otherwise).
 void motion_compensate_halfpel(const Plane& ref, int x0, int y0, int size,
                                MotionVector mv_half, std::uint8_t* pred);
 
 /// Full-pel full search followed by half-pel refinement over the 8
 /// surrounding half-sample positions.  Returns a HALF-PEL vector.
+/// size <= kMbSize, as for motion_compensate_halfpel.
 MotionVector motion_search_halfpel(const Plane& src, const Plane& ref,
                                    int x0, int y0, int size, int range,
                                    int* out_sad = nullptr);

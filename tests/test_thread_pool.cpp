@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace core = affectsys::core;
 
@@ -170,6 +171,53 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (std::size_t o = 0; o < kOuter; ++o) {
     EXPECT_EQ(sums[o].load(), kInner * (kInner + 1) / 2) << "outer " << o;
   }
+}
+
+TEST(ThreadPool, CallerChunkNestedParallelForRunsInline) {
+  // One worker, two outer chunks: the outer loop enqueues exactly one
+  // helper.  A loop nested in a chunk the caller runs itself must run
+  // inline, like one nested in the worker's chunk: no helper tasks of
+  // its own, every inner chunk on the issuing thread, and the same chunk
+  // boundaries as any other parallel_for over that range.
+  core::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> caller_outer_chunks{0};
+  std::vector<std::pair<std::size_t, std::size_t>> caller_inner;
+#if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
+  const affectsys::obs::Counter& tasks =
+      affectsys::obs::Registry::global().counter("core.pool_tasks");
+  const std::uint64_t tasks_before = tasks.value();
+#endif
+  pool.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (on_caller) {
+      caller_outer_chunks.fetch_add(1);
+    } else {
+      // Hold the worker's chunk until the caller has claimed the other
+      // one, so the caller always runs an outer chunk.
+      while (caller_outer_chunks.load() == 0) std::this_thread::yield();
+    }
+    pool.parallel_for(0, 64, 8, [&](std::size_t lo, std::size_t hi) {
+      EXPECT_EQ(std::this_thread::get_id() == caller, on_caller);
+      if (on_caller) caller_inner.emplace_back(lo, hi);
+    });
+  });
+  ASSERT_GE(caller_outer_chunks.load(), 1);
+  std::vector<std::pair<std::size_t, std::size_t>> expected;
+  for (int c = 0; c < caller_outer_chunks.load(); ++c) {
+    for (std::size_t lo = 0; lo < 64; lo += 8) {
+      expected.emplace_back(lo, lo + 8);
+    }
+  }
+  EXPECT_EQ(caller_inner, expected);
+#if defined(AFFECTSYS_METRICS) && AFFECTSYS_METRICS
+  // The single worker runs tasks in FIFO order, so once this sentinel
+  // has run, every task enqueued above has been dequeued and counted:
+  // the outer helper and the sentinel itself, and nothing for the
+  // nested loop.
+  pool.submit([] {}).get();
+  EXPECT_EQ(tasks.value() - tasks_before, pool.size() > 0 ? 2u : 0u);
+#endif
 }
 
 TEST(ThreadPool, PoolOfSizeOneCompletesParallelFor) {
