@@ -36,10 +36,14 @@ class AffectClassifier {
 
   const std::vector<Emotion>& label_set() const { return label_set_; }
   nn::Sequential& model() { return model_; }
-  /// Feature geometry this classifier was trained with — the session
-  /// server builds per-session extractors from it so concurrent feature
-  /// extraction never contends on (or diverges from) fx_.
+  /// Feature geometry this classifier was trained with.
   const FeatureConfig& feature_config() const { return fx_.config(); }
+  /// The classifier's own extractor.  Its tables are immutable and its
+  /// extraction methods const (FFT plans come from mutex-guarded
+  /// immutable caches), so any number of threads may extract through it
+  /// concurrently, each with its own FeatureWorkspace — the session
+  /// server shares this one instance across every session.
+  const FeatureExtractor& extractor() const { return fx_; }
 
  private:
   nn::Sequential model_;

@@ -11,7 +11,8 @@ namespace affectsys::affect {
 RealtimePipeline::RealtimePipeline(AffectClassifier& classifier,
                                    const RealtimeConfig& cfg)
     : classifier_(classifier), cfg_(cfg), vad_(cfg.vad),
-      stream_(cfg.stream) {
+      stream_(cfg.stream),
+      window_len_(static_cast<std::size_t>(cfg.window_s * cfg.sample_rate_hz)) {
   if (!cfg_.obs_scope.empty()) {
     scoped_dropped_ =
         &obs::MetricScope(cfg_.obs_scope).counter("affect.windows_dropped");
@@ -28,35 +29,64 @@ void RealtimePipeline::set_window_sink(WindowSink sink) {
 
 RealtimePipeline::~RealtimePipeline() { drain(); }
 
+void RealtimePipeline::ring_write(std::span<const double> chunk) {
+  const std::size_t w = window_len_;
+  if (w == 0 || chunk.empty()) return;
+  if (ring_.empty()) ring_.resize(w);
+  if (chunk.size() >= w) {
+    // Only the newest window of a long chunk can ever be read.
+    const auto tail = chunk.last(w);
+    std::copy(tail.begin(), tail.end(), ring_.begin());
+    write_ = 0;
+    fill_ = w;
+    return;
+  }
+  const std::size_t first = std::min(chunk.size(), w - write_);
+  std::copy_n(chunk.begin(), first, ring_.begin() + static_cast<long>(write_));
+  std::copy(chunk.begin() + static_cast<long>(first), chunk.end(),
+            ring_.begin());
+  write_ = (write_ + chunk.size()) % w;
+  fill_ = std::min(w, fill_ + chunk.size());
+}
+
+std::span<const double> RealtimePipeline::ring_window() const {
+  if (write_ == 0) return ring_;  // already in time order
+  // One buffer per thread, shared by every pipeline that thread drives:
+  // a window is consumed (VAD, sink or classify) before push_audio()
+  // returns, so nothing outlives the call.
+  thread_local std::vector<double> linear;
+  linear.resize(window_len_);
+  const auto split = ring_.begin() + static_cast<long>(write_);
+  std::copy(ring_.begin(), split,
+            std::copy(split, ring_.end(), linear.begin()));
+  return linear;
+}
+
 std::optional<Emotion> RealtimePipeline::push_audio(
     double t_s, std::span<const double> chunk) {
-  if (cfg_.gap_tolerance_s > 0.0 && !buffer_.empty() &&
+  if (cfg_.gap_tolerance_s > 0.0 && fill_ > 0 &&
       t_s > buffer_end_t_ + cfg_.gap_tolerance_s) {
     // Capture gap: the buffered tail is stale audio from before the
     // stall.  Windows spanning the gap would splice unrelated speech,
     // and the anchored deadline clock would classify stride-by-stride
     // through the dead time — drop the tail and re-anchor instead.
-    buffer_.clear();
+    write_ = 0;
+    fill_ = 0;
     window_clock_started_ = false;
     ++stats_.gap_resyncs;
     AFFECTSYS_COUNT("affect.gap_resyncs", 1);
   }
   stats_.samples_in += chunk.size();
   AFFECTSYS_COUNT("affect.samples_in", chunk.size());
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+  ring_write(chunk);
   buffer_end_t_ =
       t_s + static_cast<double>(chunk.size()) / cfg_.sample_rate_hz;
 
-  const auto window_len =
-      static_cast<std::size_t>(cfg_.window_s * cfg_.sample_rate_hz);
-  // Keep at most one window of history.
-  if (buffer_.size() > window_len) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.end() - static_cast<long>(window_len));
-  }
-
   std::optional<Emotion> changed;
-  while (buffer_.size() >= window_len && buffer_end_t_ >= next_window_t_) {
+  // Every window this push considers is the same newest window_len
+  // samples; linearise it at most once.
+  std::optional<std::span<const double>> window;
+  while (fill_ >= window_len_ && buffer_end_t_ >= next_window_t_) {
     // The deadline clock is anchored once, when the first full window is
     // available, and then advances by exactly one stride per considered
     // window.  Advancing from buffer_end_t_ instead would quantize the
@@ -69,9 +99,8 @@ std::optional<Emotion> RealtimePipeline::push_audio(
     next_window_t_ += cfg_.window_stride_s;
     ++stats_.windows_considered;
     AFFECTSYS_COUNT("affect.windows_considered", 1);
-    const std::span<const double> window{
-        buffer_.data() + buffer_.size() - window_len, window_len};
-    if (vad_.speech_fraction(window) < cfg_.min_speech_fraction) {
+    if (!window) window = ring_window();
+    if (vad_.speech_fraction(*window) < cfg_.min_speech_fraction) {
       continue;  // silence: save the classifier invocation
     }
     if (sink_) {
@@ -89,16 +118,16 @@ std::optional<Emotion> RealtimePipeline::push_audio(
       }
       ++stats_.windows_classified;
       AFFECTSYS_COUNT("affect.windows_classified", 1);
-      sink_(buffer_end_t_, window);
+      sink_(buffer_end_t_, *window);
       continue;
     }
     ++stats_.windows_classified;
     AFFECTSYS_COUNT("affect.windows_classified", 1);
     if (cfg_.async) {
-      enqueue_window(buffer_end_t_, window);
+      enqueue_window(buffer_end_t_, *window);
       continue;
     }
-    if (auto c = classify_and_apply(buffer_end_t_, window)) changed = c;
+    if (auto c = classify_and_apply(buffer_end_t_, *window)) changed = c;
   }
   return changed;
 }

@@ -18,11 +18,18 @@
 // window is dropped and counted, mirroring what a saturated capture
 // path must do on-device.
 //
+// Audio history is an exact-size ring: window_len samples, allocated at
+// the first push, written in place — a pushed chunk costs its own size
+// in copies, not a shift of the whole window.  A considered window is
+// linearised once per push into a per-thread buffer (skipped when the
+// ring happens to start at slot 0) and handed to the VAD and the sink
+// as one contiguous span, valid until push_audio() returns.
+//
 // Steady-state the per-window path is allocation-free: feature
 // extraction reuses the FeatureWorkspace owned by the AffectClassifier
 // (classify() is serialized, so one workspace suffices) and VAD stages
-// frames through a reused buffer; only the sliding window copy into the
-// async queue allocates, and only until the deque's nodes are warm.
+// frames through a reused buffer; only the window copy into the async
+// queue allocates, and only until the deque's nodes are warm.
 #pragma once
 
 #include <condition_variable>
@@ -125,7 +132,9 @@ class RealtimePipeline {
   /// to the sink, result not yet applied), further windows are shed and
   /// counted exactly like the async queue overflow.  Sync mode only
   /// (throws std::logic_error if cfg.async); set before the first
-  /// push_audio().  The sink runs inline inside push_audio.
+  /// push_audio().  The sink runs inline inside push_audio; the span it
+  /// receives is valid only for that call and must not be read after
+  /// the sink pushes audio into any pipeline on the same thread.
   using WindowSink = std::function<void(double, std::span<const double>)>;
   void set_window_sink(WindowSink sink);
 
@@ -156,13 +165,24 @@ class RealtimePipeline {
   /// Worker body: classifies pending windows FIFO until the queue is
   /// empty, then retires itself.
   void drain_queue();
+  /// Appends a chunk to the ring, keeping only its last window_len
+  /// samples when it is longer than the window.
+  void ring_write(std::span<const double> chunk);
+  /// The full ring (fill_ == window_len) in time order, contiguous.
+  std::span<const double> ring_window() const;
 
   AffectClassifier& classifier_;
   RealtimeConfig cfg_;
   VoiceActivityDetector vad_;
   EmotionStream stream_;
   RealtimeStats stats_;
-  std::vector<double> buffer_;  ///< sliding window of recent samples
+  std::size_t window_len_ = 0;  ///< samples per classification window
+  /// Ring of the most recent samples: window_len_ slots once the first
+  /// chunk arrives, of which the fill_ ending just before write_ are
+  /// valid (oldest at write_ once full).
+  std::vector<double> ring_;
+  std::size_t write_ = 0;
+  std::size_t fill_ = 0;
   double buffer_end_t_ = 0.0;
   double next_window_t_ = 0.0;
   /// False until the first full window fires; the first deadline anchors

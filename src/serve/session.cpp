@@ -48,7 +48,6 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
       inline_inference_(inline_inference),
       scope_(cfg_.realtime.obs_scope),
       pipeline_(*env.classifier, cfg_.realtime),
-      fx_(env.classifier->feature_config()),
       fault_plan_([&] {
         // Mix the session id into the plan seed so identically
         // configured tenants fault independently (and a restarted
@@ -68,8 +67,8 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   if (script_.empty()) {
     throw std::invalid_argument("Session: script_segments must be >= 1");
   }
-  chunk_.resize(static_cast<std::size_t>(
-      std::llround(cfg_.tick_s * cfg_.realtime.sample_rate_hz)));
+  chunk_len_ = static_cast<std::size_t>(
+      std::llround(cfg_.tick_s * cfg_.realtime.sample_rate_hz));
 
   // Integer per-segment sample counts.  Quantized workloads fill these;
   // for legacy (unquantized) scripts derive them with exactly the
@@ -100,10 +99,11 @@ Session::Session(SessionId id, const SessionConfig& cfg, const SessionEnv& env,
   if (const FeatureBankCache* cache = env_.feature_cache;
       cache != nullptr && cache->usable() && !inline_inference_ &&
       !fault_plan_.may_fire(fault::kAudioKinds) && script_len_ > 0) {
-    const auto& mc = env_.classifier->feature_config().mfcc;
+    const affect::FeatureExtractor& fx = env_.classifier->extractor();
+    const auto& mc = fx.config().mfcc;
     bool ok = cache->hop() == mc.hop && cache->frame_len() == mc.frame_len &&
-              cache->feature_dim() == fx_.feature_dim() && mc.hop != 0 &&
-              chunk_.size() % mc.hop == 0 && script_len_ % mc.hop == 0;
+              cache->feature_dim() == fx.feature_dim() && mc.hop != 0 &&
+              chunk_len_ % mc.hop == 0 && script_len_ % mc.hop == 0;
     for (const ScriptSegment& seg : script_) {
       if (!ok) break;
       ok = cache->covers(seg.emotion) &&
@@ -252,10 +252,15 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
       return;
     }
   }
-  fill_chunk(chunk_);
+  // Per-thread scratch: the chunk is consumed by push_audio() below
+  // (the pipeline copies what it keeps), so sessions sharing a pool
+  // thread can share the buffer.
+  thread_local std::vector<double> chunk;
+  chunk.resize(chunk_len_);
+  fill_chunk(chunk);
   if (fault_plan_.enabled()) {
     const std::uint64_t before = fault_counts_.total;
-    if (!fault::maybe_fault_audio(chunk_, fault_plan_, fault_counts_)) {
+    if (!fault::maybe_fault_audio(chunk, fault_plan_, fault_counts_)) {
       c_faults_->add(1);
       ++stats_.chunks_dropped;
       c_chunks_dropped_->add(1);
@@ -266,33 +271,38 @@ void Session::pump_audio(std::uint64_t tick, int ladder_pressure) {
   // Active-speaker observation: mean-square energy of the chunk that
   // actually reaches the pipeline (post-fault, so a zeroed chunk reads
   // as silence — the detector hears what the pipeline hears).
-  if (!chunk_.empty()) {
+  if (!chunk.empty()) {
     double acc = 0.0;
-    for (double s : chunk_) acc += s * s;
-    last_energy_ = acc / static_cast<double>(chunk_.size());
+    for (double s : chunk) acc += s * s;
+    last_energy_ = acc / static_cast<double>(chunk.size());
   }
   // Media time runs on the *local* clock: under compat scheduling it
   // equals the server tick, under wheel scheduling it advances only on
   // ticks that run, so idle phases never appear as capture gaps.
-  samples_pushed_ += chunk_.size();
-  pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk_);
+  samples_pushed_ += chunk.size();
+  pipeline_.push_audio(static_cast<double>(local_tick_) * cfg_.tick_s, chunk);
 }
 
 // The pipeline emits windows after the whole chunk is buffered, so
 // every window this push produces ends exactly at samples_pushed_ —
 // which pins the window's absolute script position for cached_row().
 const nn::Matrix& Session::extract_features(std::span<const double> window) {
+  // Per-thread scratch: on_window() copies the features out (staged
+  // pool block or inline classify) before another session on this
+  // thread can extract.
+  thread_local affect::FeatureWorkspace ws;
+  const affect::FeatureExtractor& fx = env_.classifier->extractor();
   if (use_cache_) {
     const FeatureBankCache& cache = *env_.feature_cache;
     const std::size_t hop = cache.hop();
     const std::size_t frame_len = cache.frame_len();
     const std::size_t start_abs = samples_pushed_ - window.size();
     if (window.size() <= samples_pushed_ && start_abs % hop == 0) {
-      fx_.prepare_workspace(fx_ws_);
-      nn::Matrix& out = fx_ws_.features;
+      fx.prepare_workspace(ws);
+      nn::Matrix& out = ws.features;
       const std::size_t frames =
           signal::frame_count(window.size(), frame_len, hop);
-      const std::size_t T = std::min(frames, fx_.timesteps());
+      const std::size_t T = std::min(frames, fx.timesteps());
       for (std::size_t t = 0; t < T; ++t) {
         const std::span<float> row = out.row(t);
         if (t * hop + frame_len <= window.size() &&
@@ -302,15 +312,15 @@ const nn::Matrix& Session::extract_features(std::span<const double> window) {
         }
         // Boundary (or zero-padded tail) frame: compute live, exactly
         // as extract_into() would.
-        signal::copy_frame(window, t, hop, fx_ws_.frame);
-        fx_.compute_frame_row(fx_ws_.frame, row, fx_ws_);
+        signal::copy_frame(window, t, hop, ws.frame);
+        fx.compute_frame_row(ws.frame, row, ws);
         ++stats_.feature_rows_live;
       }
-      fx_.standardize_rows(out, T);
+      fx.standardize_rows(out, T);
       return out;
     }
   }
-  return fx_.extract_into(window, fx_ws_);
+  return fx.extract_into(window, ws);
 }
 
 bool Session::cached_row(std::size_t abs, std::span<float> row) const {

@@ -16,9 +16,16 @@
 // Thread-safety: the server advances sessions concurrently
 // (parallel_for over sessions), but each Session instance is only ever
 // touched by one task at a time, and everything it shares is read-only
-// — except the classifier, which only the inline_inference path calls
-// (the server never sets that flag, so its sessions never touch the
-// shared model; the serialized batcher does).
+// — the classifier's FeatureExtractor included (const extraction) —
+// except the classifier's model, which only the inline_inference path
+// calls (the server never sets that flag, so its sessions never touch
+// the shared model; the serialized batcher does).
+//
+// Memory: a session keeps only per-user state.  The feature extractor
+// is the classifier's, and the feature workspace and audio chunk are
+// per-thread scratch (one per pool thread, not one per session) that
+// nothing reads after the call that filled it.  The largest member is
+// the pipeline's window_len-sample audio ring.
 #pragma once
 
 #include <array>
@@ -206,6 +213,9 @@ struct SessionReport {
 /// Shared server context handed to every session; must outlive them.
 struct SessionEnv {
   const SharedWorkload* workload = nullptr;
+  /// Shared by every session: its extractor serves all live feature
+  /// extraction (concurrently, read-only); its model is called only on
+  /// the inline_inference path.
   affect::AffectClassifier* classifier = nullptr;
   /// Both null disables app-manager traffic.
   const core::AppAffectTable* app_table = nullptr;
@@ -253,7 +263,7 @@ class Session {
 
   /// Stage A (parallel across sessions): advance one tick of audio
   /// through the embedded pipeline.  Surviving windows are feature-
-  /// extracted here (per-session workspace) and staged for the batcher
+  /// extracted here (per-thread workspace) and staged for the batcher
   /// — or classified inline in standalone mode.  `ladder_pressure` is
   /// the server's global precision-pressure level this tick (0 with the
   /// ladder off — the default keeps external callers unchanged); the
@@ -345,7 +355,8 @@ class Session {
   void update_rung(int ladder_pressure);
   /// Feature matrix for one window: the bank-cache assembly when
   /// use_cache_ (byte-identical by construction), extract_into()
-  /// otherwise.  Returned reference lives in fx_ws_.
+  /// otherwise.  The returned reference lives in a thread_local
+  /// workspace and is valid until this thread extracts again.
   const nn::Matrix& extract_features(std::span<const double> window);
   /// Copies the cached raw row for the frame starting at absolute
   /// script sample `abs` into `row`; false when the frame straddles a
@@ -386,12 +397,10 @@ class Session {
 
   // Audio/affect path.
   affect::RealtimePipeline pipeline_;
-  affect::FeatureExtractor fx_;
-  affect::FeatureWorkspace fx_ws_;
   std::vector<ScriptSegment> script_;
   std::size_t script_idx_ = 0;
   std::size_t script_offset_ = 0;  ///< samples into the current segment
-  std::vector<double> chunk_;
+  std::size_t chunk_len_ = 0;  ///< samples per tick's audio chunk
   std::uint64_t current_tick_ = 0;  ///< stamped onto staged requests
   /// Local (media) clock: starts at the admission tick and advances by
   /// one per executed tick.  All media timing (audio timestamps, frame

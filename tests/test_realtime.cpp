@@ -1,8 +1,11 @@
-// Tests for the real-time pipeline: VAD gating, streaming classification
-// and the offload placement study.
+// Tests for the real-time pipeline: VAD gating, streaming classification,
+// the audio ring against the sliding-vector reference, and the offload
+// placement study.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <random>
 
 #include "affect/realtime.hpp"
@@ -163,6 +166,237 @@ TEST_F(PipelineFixture, WindowCountMatchesAnalyticRegardlessOfChunkSize) {
   }
 }
 
+// -------------------------------------------------------------- audio ring
+
+namespace {
+
+/// The pre-ring RealtimePipeline::push_audio, kept as the reference the
+/// ring must reproduce: a std::vector grown by insert and trimmed to one
+/// window by erasing from the front.  Same deadline clock, VAD gate,
+/// gap resync and drop-newest bound.  With a classifier it classifies
+/// inline (sync mode); without one it records what a sink would
+/// receive.
+class SlidingVectorReference {
+ public:
+  struct Window {
+    double t_end = 0.0;
+    std::vector<double> samples;
+  };
+  struct Label {
+    double t_end = 0.0;
+    affect::Emotion emotion = affect::Emotion::kNeutral;
+    float confidence = 0.0f;
+  };
+
+  SlidingVectorReference(affect::AffectClassifier* clf,
+                         const affect::RealtimeConfig& cfg)
+      : clf_(clf), cfg_(cfg), vad_(cfg.vad), stream_(cfg.stream) {}
+
+  void push_audio(double t_s, std::span<const double> chunk) {
+    if (cfg_.gap_tolerance_s > 0.0 && !buffer_.empty() &&
+        t_s > buffer_end_t_ + cfg_.gap_tolerance_s) {
+      buffer_.clear();
+      window_clock_started_ = false;
+      ++stats.gap_resyncs;
+    }
+    stats.samples_in += chunk.size();
+    buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+    buffer_end_t_ =
+        t_s + static_cast<double>(chunk.size()) / cfg_.sample_rate_hz;
+    const auto window_len =
+        static_cast<std::size_t>(cfg_.window_s * cfg_.sample_rate_hz);
+    if (buffer_.size() > window_len) {
+      buffer_.erase(buffer_.begin(),
+                    buffer_.end() - static_cast<long>(window_len));
+    }
+    while (buffer_.size() >= window_len && buffer_end_t_ >= next_window_t_) {
+      if (!window_clock_started_) {
+        window_clock_started_ = true;
+        next_window_t_ = buffer_end_t_;
+      }
+      next_window_t_ += cfg_.window_stride_s;
+      ++stats.windows_considered;
+      const std::span<const double> window{
+          buffer_.data() + buffer_.size() - window_len, window_len};
+      if (vad_.speech_fraction(window) < cfg_.min_speech_fraction) continue;
+      if (clf_ == nullptr) {
+        if (outstanding_ >= cfg_.max_inflight) {
+          ++stats.windows_dropped;
+          continue;
+        }
+        ++outstanding_;
+        ++stats.windows_classified;
+        windows.push_back({buffer_end_t_, {window.begin(), window.end()}});
+        continue;
+      }
+      ++stats.windows_classified;
+      const affect::ClassificationResult res = clf_->classify(window);
+      labels.push_back({buffer_end_t_, res.emotion, res.confidence});
+      push_label(buffer_end_t_, res.emotion);
+    }
+  }
+
+  void apply_label(double t_end, affect::Emotion raw) {
+    if (outstanding_ > 0) --outstanding_;
+    push_label(t_end, raw);
+  }
+
+  affect::RealtimeStats stats;
+  std::vector<Window> windows;  ///< sink mode
+  std::vector<Label> labels;    ///< sync-classify mode
+
+ private:
+  void push_label(double t_end, affect::Emotion raw) {
+    if (stream_.push(t_end, raw)) ++stats.stable_changes;
+  }
+
+  affect::AffectClassifier* clf_;
+  affect::RealtimeConfig cfg_;
+  affect::VoiceActivityDetector vad_;
+  affect::EmotionStream stream_;
+  std::vector<double> buffer_;
+  double buffer_end_t_ = 0.0;
+  double next_window_t_ = 0.0;
+  bool window_clock_started_ = false;
+  std::size_t outstanding_ = 0;
+};
+
+/// ~40 s of alternating angry and calm speech with silences between
+/// utterances, so the VAD gate both passes and rejects windows.
+std::vector<double> mixed_capture() {
+  affect::SpeechSynthesizer synth(5);
+  std::vector<double> audio;
+  for (int u = 0; u < 16; ++u) {
+    const auto e = (u % 3 == 2) ? affect::Emotion::kCalm
+                                : affect::Emotion::kAngry;
+    const auto utt = synth.synthesize(e, 70 + u, 2.0, 16000.0, 0.1);
+    audio.insert(audio.end(), utt.samples.begin(), utt.samples.end());
+    audio.insert(audio.end(), static_cast<std::size_t>(800 * (u % 5)), 0.0);
+  }
+  return audio;
+}
+
+bool bytes_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+class RealtimeRing : public PipelineFixture {};
+
+// The ring replaces the sliding vector without changing one byte the
+// pipeline hands out.  Seeded random chunk sizes cover chunks longer
+// than the window, chunks that do not divide the stride and 1-sample
+// chunks; capture gaps above the tolerance trigger resyncs and gaps
+// below it do not.  Sink mode (with drop-newest backpressure and
+// interleaved apply_label) and sync-classify mode are both compared.
+TEST_F(RealtimeRing, MatchesSlidingVectorReference) {
+  const std::vector<double> audio = mixed_capture();
+  struct Geometry {
+    double window_s, stride_s;
+  };
+  for (const Geometry g : {Geometry{1.0, 0.5}, Geometry{0.5, 0.3}}) {
+    for (const bool sink : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "window_s=" << g.window_s
+                                      << " sink=" << sink);
+      affect::RealtimeConfig cfg;
+      cfg.window_s = g.window_s;
+      cfg.window_stride_s = g.stride_s;
+      cfg.max_inflight = 3;
+      cfg.stream.vote_window = 3;
+      cfg.stream.min_dwell_s = 0.0;
+      const auto window_len =
+          static_cast<std::size_t>(cfg.window_s * cfg.sample_rate_hz);
+
+      affect::RealtimePipeline pipe(classifier(), cfg);
+      SlidingVectorReference ref(sink ? nullptr : &classifier(), cfg);
+      std::vector<SlidingVectorReference::Window> got_windows;
+      std::vector<SlidingVectorReference::Label> got_labels;
+      std::deque<double> outstanding;
+      if (sink) {
+        pipe.set_window_sink([&](double t_end, std::span<const double> w) {
+          got_windows.push_back({t_end, {w.begin(), w.end()}});
+          outstanding.push_back(t_end);
+        });
+      } else {
+        pipe.on_raw_label([&](double t_end, affect::Emotion e, float c) {
+          got_labels.push_back({t_end, e, c});
+        });
+      }
+
+      std::mt19937 rng(1234);
+      std::size_t pos = 0;
+      std::size_t long_chunks = 0;
+      double gap_s = 0.0;
+      while (pos < audio.size()) {
+        const unsigned pick = rng() % 20;
+        std::size_t n = 0;
+        if (pick < 2) {
+          n = window_len + rng() % (2 * window_len);  // longer than the window
+          ++long_chunks;
+        } else if (pick < 4) {
+          n = 1;
+        } else if (pick < 7) {
+          n = 1600;
+        } else {
+          n = 1 + rng() % 3000;  // rarely divides the stride
+        }
+        if (pick == 19) gap_s += 1.5;           // above the gap tolerance
+        if (rng() % 25 == 0) gap_s += 0.4;      // below it
+        n = std::min(n, audio.size() - pos);
+        const double t =
+            static_cast<double>(pos) / cfg.sample_rate_hz + gap_s;
+        const std::span<const double> chunk{audio.data() + pos, n};
+        pipe.push_audio(t, chunk);
+        ref.push_audio(t, chunk);
+        pos += n;
+        // Sink mode: retire the oldest outstanding window now and then,
+        // on both sides, with a seeded label.
+        if (sink && !outstanding.empty() && rng() % 2 == 0) {
+          const auto e = (rng() % 3 == 0) ? affect::Emotion::kCalm
+                                          : affect::Emotion::kAngry;
+          pipe.apply_label(outstanding.front(), e);
+          ref.apply_label(outstanding.front(), e);
+          outstanding.pop_front();
+        }
+      }
+
+      EXPECT_GT(long_chunks, 0u);
+      EXPECT_EQ(std::memcmp(&pipe.stats(), &ref.stats, sizeof(ref.stats)), 0)
+          << "considered " << pipe.stats().windows_considered << " vs "
+          << ref.stats.windows_considered << ", classified "
+          << pipe.stats().windows_classified << " vs "
+          << ref.stats.windows_classified << ", resyncs "
+          << pipe.stats().gap_resyncs << " vs " << ref.stats.gap_resyncs;
+      EXPECT_GT(ref.stats.gap_resyncs, 0u);
+      EXPECT_GT(ref.stats.windows_classified, 0u);
+      EXPECT_LT(ref.stats.windows_classified, ref.stats.windows_considered);
+      if (sink) {
+        EXPECT_GT(ref.stats.windows_dropped, 0u);
+        ASSERT_EQ(got_windows.size(), ref.windows.size());
+        for (std::size_t i = 0; i < got_windows.size(); ++i) {
+          EXPECT_EQ(got_windows[i].t_end, ref.windows[i].t_end) << i;
+          EXPECT_TRUE(bytes_equal(got_windows[i].samples,
+                                  ref.windows[i].samples))
+              << "window " << i;
+        }
+      } else {
+        ASSERT_EQ(got_labels.size(), ref.labels.size());
+        for (std::size_t i = 0; i < got_labels.size(); ++i) {
+          EXPECT_EQ(got_labels[i].t_end, ref.labels[i].t_end) << i;
+          EXPECT_EQ(got_labels[i].emotion, ref.labels[i].emotion) << i;
+          EXPECT_EQ(std::memcmp(&got_labels[i].confidence,
+                                &ref.labels[i].confidence, sizeof(float)),
+                    0)
+              << "label " << i;
+        }
+        EXPECT_GT(ref.stats.stable_changes, 0u);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ async pipeline
 
 namespace {
@@ -192,7 +426,9 @@ std::vector<double> feed_angry_speech(affect::RealtimePipeline& pipe,
       const auto changed = pipe.push_audio(t, {utt.samples.data() + off, n});
       // Async mode defers classification, so the capture path can never
       // report a stable change inline.
-      if (async) EXPECT_FALSE(changed.has_value());
+      if (async) {
+        EXPECT_FALSE(changed.has_value());
+      }
       t += 0.1;
     }
   }

@@ -2,11 +2,14 @@
 // contract (shards x wheel x work-steal all reproduce the compat run
 // byte-for-byte), two-run replay identity for a lossy sharded fleet,
 // feature-bank-cache byte identity on quantized workloads (clean and
-// over a lossy simulcast transport) and its eligibility rule, duty-cycle
-// transparency on the timer wheel, and the zero-steady-state-allocation
-// pin for the pooled serve path.
+// over a lossy simulcast transport) and its eligibility rule, isolation
+// of the per-thread feature/chunk/window scratch between sessions,
+// duty-cycle transparency on the timer wheel, the zero-steady-state-
+// allocation pin for the pooled serve path, and the per-session heap
+// footprint of an audio-only session.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -21,6 +24,22 @@
 #include "obs/alloc_hooks.hpp"
 #include "serve/server.hpp"
 #include "simulcast/encoder.hpp"
+
+// In-use heap is read from glibc's mallinfo2 (2.33+).  A sanitizer
+// replaces the allocator, so glibc's figures then miss the heap.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AFFECTSYS_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AFFECTSYS_SANITIZED_ALLOCATOR 1
+#endif
+#if defined(__GLIBC__) && !defined(AFFECTSYS_SANITIZED_ALLOCATOR) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+#include <malloc.h>
+#define AFFECTSYS_HAVE_MALLINFO2 1
+#endif
 
 namespace affect = affectsys::affect;
 namespace android = affectsys::android;
@@ -432,6 +451,70 @@ TEST(FeatureBank, NetFaultedCacheByteIdentity) {
   }
 }
 
+// ------------------------------------------------ shared scratch
+
+// The feature workspace, the audio chunk and the window linearisation
+// buffer are per-thread scratch shared by every session a thread runs.
+// Two sessions interleaved on one thread (inline pool) must each
+// reproduce their solo run byte for byte — on the feature-bank cache
+// path (clean plans) and on the live-extraction path (audio-fault
+// plans decline the cache).
+TEST(SharedScratch, InterleavedSessionsMatchSoloRuns) {
+  core::set_global_threads(0);  // every stage on this thread
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "live extraction (audio faults)" : "cache path");
+    const auto session_cfg = [&](unsigned seed) {
+      serve::SessionConfig sc = serve::ServerConfig{}.session;
+      sc.seed = seed;
+      if (faulted) {
+        sc.fault = fault::FaultConfig{50 + seed, 0.1, fault::kAudioKinds};
+      }
+      return sc;
+    };
+    // Session ids feed the fault seed, so each solo run admits its
+    // session under the id it has in the shared run: `skip` throwaway
+    // admissions, closed before the first tick, burn the ids before it.
+    const auto run = [&](const std::vector<unsigned>& seeds,
+                         std::size_t skip) {
+      serve::ServerConfig cfg;
+      cfg.feature_bank_cache = true;
+      // Results apply the tick their window is staged, so neither
+      // session's timing depends on the other's batch mates.
+      cfg.batcher.max_delay_ticks = 0;
+      serve::SessionManager server(cfg, world().env(/*use_quantized=*/true));
+      for (std::size_t i = 0; i < skip; ++i) {
+        server.close_session(server.create_session(session_cfg(99)));
+      }
+      std::vector<serve::SessionId> ids;
+      for (const unsigned seed : seeds) {
+        ids.push_back(server.create_session(session_cfg(seed)));
+      }
+      for (int i = 0; i < 120; ++i) server.tick();
+      server.drain();
+      std::vector<serve::SessionReport> out;
+      for (const auto id : ids) {
+        EXPECT_EQ(server.session(id).using_feature_cache(), !faulted);
+        if (faulted) {
+          EXPECT_GT(server.session(id).fault_counts().total, 0u);
+        }
+        out.push_back(server.report(id));
+      }
+      return out;
+    };
+    const auto both = run({3, 8}, 0);
+    const auto solo_a = run({3}, 0);
+    const auto solo_b = run({8}, 1);
+    ASSERT_EQ(both.size(), 2u);
+    EXPECT_EQ(both[1].session_id, solo_b[0].session_id);
+    EXPECT_GT(both[0].windows.size(), 10u);
+    EXPECT_GT(both[1].windows.size(), 10u);
+    EXPECT_EQ(both[0].stats.feature_rows_cached > 0, !faulted);
+    EXPECT_TRUE(reports_identical(both[0], solo_a[0])) << "seed 3";
+    EXPECT_TRUE(reports_identical(both[1], solo_b[0])) << "seed 8";
+  }
+  core::set_global_threads(core::default_thread_count());
+}
+
 // --------------------------------------------------- duty-cycle wheel
 
 // A duty-cycled session on the wheel (1 active tick, 7 idle) run for
@@ -508,4 +591,43 @@ TEST(ServeAllocations, SteadyStateIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state serve ticks allocated " << (after - before)
       << " times";
+}
+
+// ------------------------------------------------ per-session heap
+
+// An audio-only session keeps only per-user state: the extractor is the
+// classifier's, feature and chunk scratch are per thread, and the audio
+// history is an exact window_len ring.  256 always-on fps=0 sessions on
+// the serving configuration, 40 ticks (the ring full, the window cadence
+// established): in-use heap per session stays at or below 192 KiB.
+TEST(ServeMemory, AudioOnlySessionHeapFootprint) {
+#ifndef AFFECTSYS_HAVE_MALLINFO2
+  GTEST_SKIP() << "needs glibc mallinfo2 and the glibc allocator";
+#else
+  constexpr std::size_t kSessions = 256;
+  serve::ServerConfig cfg;
+  cfg.max_sessions = kSessions;
+  cfg.shards = 4;
+  cfg.wheel = true;
+  cfg.feature_bank_cache = true;
+  cfg.backlog_hi = 2 * kSessions;  // measure footprint, not shedding
+  cfg.session.fps = 0.0;
+  cfg.session.record_trace = false;
+  serve::SessionManager server(
+      cfg, world().env(/*use_quantized=*/true, /*with_apps=*/false));
+  const auto heap_in_use = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const std::size_t before = heap_in_use();
+  for (std::size_t i = 0; i < kSessions; ++i) server.create_session();
+  for (int i = 0; i < 40; ++i) server.tick();
+  const std::size_t after = heap_in_use();
+  ASSERT_GE(after, before);
+  const double kib_per_session =
+      static_cast<double>(after - before) / 1024.0 / kSessions;
+  std::printf("in-use heap per audio-only session: %.1f KiB\n",
+              kib_per_session);
+  EXPECT_LE(kib_per_session, 192.0);
+#endif
 }
